@@ -1,4 +1,5 @@
-//! Ablations for the design choices DESIGN.md calls out.
+//! Ablations of single design choices; each names the paper section whose
+//! technique it isolates.
 
 use crate::support::*;
 use kagen_core::rhg::common::RhgInstance;
@@ -105,28 +106,27 @@ pub fn cell_batching(fast: bool) -> String {
     )
 }
 
-/// §9 future work: the multi-level descent-table R-MAT against the plain
+/// §9 future work: the linear-work composed-table R-MAT against the plain
 /// per-level generator.
 pub fn rmat_tables(fast: bool) -> String {
-    use kagen_core::Rmat;
+    use kagen_core::{Rmat, RmatKernel};
     let m: u64 = if fast { 1 << 18 } else { 1 << 21 };
     let scale = 24u32;
     let mut rows = Vec::new();
-    for levels in [0u32, 4, 8] {
-        let gen = if levels == 0 {
-            Rmat::new(scale, m).with_seed(33).with_chunks(1)
-        } else {
-            Rmat::new(scale, m)
-                .with_seed(33)
-                .with_chunks(1)
-                .with_table_levels(levels)
-        };
+    for kernel in [
+        RmatKernel::Plain,
+        RmatKernel::Linear { levels: 4 },
+        RmatKernel::Linear { levels: 8 },
+    ] {
+        let gen = Rmat::new(scale, m)
+            .with_seed(33)
+            .with_chunks(1)
+            .with_kernel(kernel);
         let stats = run_generator(&gen);
         rows.push(vec![
-            if levels == 0 {
-                "per-level".into()
-            } else {
-                format!("table({levels})")
+            match kernel {
+                RmatKernel::Plain => "per-level".into(),
+                RmatKernel::Linear { levels } => format!("linear({levels})"),
             },
             ms(stats.time),
             meps(stats.edges, stats.time),
@@ -134,9 +134,9 @@ pub fn rmat_tables(fast: bool) -> String {
     }
     report(
         "abl-rmat",
-        "R-MAT descent tables (§9 extension)",
+        "R-MAT composed path-block tables (§9 extension)",
         "Collapsing k recursion levels into one alias-table draw divides \
-         the per-edge variate count by k; with scale 24 and 8-level tables \
+         the per-edge variate count by k; with scale 24 and 8-level blocks \
          the descent needs 3 draws instead of 24.",
         format_table(
             "R-MAT acceleration (m edges, scale 24)",

@@ -403,7 +403,8 @@ fn worker_counts(max: usize) -> Vec<usize> {
 }
 
 /// The §8-style scaling sweep: strong (fixed `m`) and weak (`m` per
-/// worker) points for an R-MAT instance across worker counts.
+/// worker) points for a linear-kernel R-MAT instance (levels pinned to 8)
+/// across worker counts.
 fn scaling_sweep(
     scale: u32,
     m: u64,
@@ -417,10 +418,10 @@ fn scaling_sweep(
         let gen = Rmat::new(scale, m)
             .with_seed(1)
             .with_chunks(chunks)
-            .with_table_levels(8);
+            .with_kernel(RmatKernel::Linear { levels: 8 });
         let (edges, secs) = time_rank_ranges("strong", &gen, workers, reps);
         points.push(ScalingPoint {
-            name: "rmat_table8",
+            name: "rmat_linear",
             mode: "strong",
             workers,
             edges,
@@ -432,10 +433,10 @@ fn scaling_sweep(
         let gen = Rmat::new(scale, m * workers as u64)
             .with_seed(1)
             .with_chunks(chunks)
-            .with_table_levels(8);
+            .with_kernel(RmatKernel::Linear { levels: 8 });
         let (edges, secs) = time_rank_ranges("weak", &gen, workers, reps);
         points.push(ScalingPoint {
-            name: "rmat_table8",
+            name: "rmat_linear",
             mode: "weak",
             workers,
             edges,
@@ -539,16 +540,6 @@ fn main() {
         &Rmat::new(scale, m).with_seed(1).with_chunks(chunks),
         reps,
     ));
-    results.push(measure(
-        "rmat_table8",
-        "rmat",
-        format!("scale={scale} m={m} table_levels=8"),
-        &Rmat::new(scale, m)
-            .with_seed(1)
-            .with_chunks(chunks)
-            .with_table_levels(8),
-        reps,
-    ));
     // The linear-work composed-table kernel (the CLI default since the
     // linear-work rework): one fused alias draw per 8-level path block,
     // deinterleaved halves, pow2 word sampling. Levels are pinned at 8
@@ -564,9 +555,8 @@ fn main() {
             .with_kernel(RmatKernel::Linear { levels: 8 }),
         reps,
     ));
-    // Beyond the scale-32 wall: the legacy interleaved table cannot run
-    // here (2·scale Morton bits overflow u64), so this pair records what
-    // the composed kernel buys where only plain descent used to work.
+    // Beyond scale 32 (vertex ids past u32): this pair records what the
+    // composed kernel buys over plain descent at large scale.
     let (s32_scale, s32_m) = (32u32, if quick { 1u64 << 15 } else { 1u64 << 21 });
     results.push(measure(
         "rmat_plain_s32",
@@ -715,24 +705,14 @@ fn main() {
         reps,
     ));
 
-    // The R-MAT acceptance ratios. Legacy: batched interleaved-table
-    // descent against the per-edge-seeded plain descent (the seed
-    // repository's hot path). New: the linear-work composed kernel
-    // against the legacy table's batched path — the tentpole target
-    // (>= 2x at scale 20) — and against plain at scale 32, where the
-    // table kernel cannot run at all.
+    // The R-MAT acceptance ratios: the batched linear-work composed
+    // kernel against the per-edge-seeded plain descent (the seed
+    // repository's hot path) at scale 20, and against batched plain at
+    // scale 32.
     let by_name = |needle: &str| results.iter().find(|r| r.name == needle).unwrap();
-    let plain = by_name("rmat_plain");
-    let table = by_name("rmat_table8");
-    let linear = by_name("rmat_linear");
-    let rmat_ratio = plain.per_edge_secs / table.batched_secs;
-    let rmat_linear_vs_table = table.batched_secs / linear.batched_secs;
-    let rmat_linear_vs_plain = plain.per_edge_secs / linear.batched_secs;
-    info!("rmat batched(table) vs per-edge(plain): {rmat_ratio:.2}x (target >= 3x at scale 20)");
-    info!(
-        "rmat batched(linear) vs batched(table8): {rmat_linear_vs_table:.2}x \
-         (target >= 2x at scale 20), vs per-edge(plain): {rmat_linear_vs_plain:.2}x"
-    );
+    let rmat_linear_vs_plain =
+        by_name("rmat_plain").per_edge_secs / by_name("rmat_linear").batched_secs;
+    info!("rmat batched(linear) vs per-edge(plain): {rmat_linear_vs_plain:.2}x");
     let rmat_s32_ratio =
         by_name("rmat_plain_s32").batched_secs / by_name("rmat_linear_s32").batched_secs;
     info!("rmat scale-32 batched(linear) vs batched(plain): {rmat_s32_ratio:.2}x");
@@ -801,14 +781,6 @@ fn main() {
         let _ = write!(json, "\"{name}\": {v}");
     }
     json.push_str("},\n");
-    let _ = writeln!(
-        json,
-        "  \"rmat_table_batched_vs_plain_per_edge\": {rmat_ratio:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rmat_linear_batched_vs_table8_batched\": {rmat_linear_vs_table:.3},"
-    );
     let _ = writeln!(
         json,
         "  \"rmat_linear_batched_vs_plain_per_edge\": {rmat_linear_vs_plain:.3},"
@@ -921,8 +893,8 @@ mod tests {
 
     const BASELINE: &str = r#"{
   "schema": "kagen-throughput/v5",
-  "rmat_table_batched_vs_plain_per_edge": 4.779,
-  "rmat_linear_batched_vs_table8_batched": 2.4,
+  "rmat_linear_batched_vs_plain_per_edge": 4.779,
+  "rmat_linear_s32_batched_vs_plain_batched": 2.4,
   "er_skip_batched_vs_algoD_per_edge_directed": 2.080,
   "eps_note": "negative and exponent forms parse too",
   "name_vs_nothing_numeric": "a_vs_b string value, not a ratio",
@@ -933,7 +905,7 @@ mod tests {
     #[test]
     fn extracts_floats_by_key() {
         assert_eq!(
-            extract_f64(BASELINE, "rmat_table_batched_vs_plain_per_edge"),
+            extract_f64(BASELINE, "rmat_linear_batched_vs_plain_per_edge"),
             Some(4.779)
         );
         assert_eq!(extract_f64(BASELINE, "neg"), Some(-1.5));
@@ -947,13 +919,13 @@ mod tests {
         // 4.779 * (1 - 0.5) = 2.3895: 2.5 passes, 2.0 fails.
         assert!(compare_ratios(
             BASELINE,
-            &[("rmat_table_batched_vs_plain_per_edge", 2.5)],
+            &[("rmat_linear_batched_vs_plain_per_edge", 2.5)],
             0.5
         )
         .is_empty());
         let failures = compare_ratios(
             BASELINE,
-            &[("rmat_table_batched_vs_plain_per_edge", 2.0)],
+            &[("rmat_linear_batched_vs_plain_per_edge", 2.0)],
             0.5,
         );
         assert_eq!(failures.len(), 1);
@@ -979,8 +951,8 @@ mod tests {
         assert_eq!(
             discover_ratio_keys(BASELINE),
             vec![
-                "rmat_table_batched_vs_plain_per_edge",
-                "rmat_linear_batched_vs_table8_batched",
+                "rmat_linear_batched_vs_plain_per_edge",
+                "rmat_linear_s32_batched_vs_plain_batched",
                 "er_skip_batched_vs_algoD_per_edge_directed",
             ]
         );

@@ -10,10 +10,10 @@ use kagen_util::{derive_seed, Mt64};
 
 /// Pick the leaf-block count for an edge universe: a granularity derived
 /// from the instance parameters alone (never from the PE count, see
-/// DESIGN.md), coarse enough that per-block PRNG setup amortizes
-/// (≥ ~256 expected samples per block — fine enough that up to ~2^10 PEs
-/// stay load-balanced on small instances) and fine enough that leaves
-/// stay in the f64-exact sampling regime.
+/// "Chunk invariance" in the README), coarse enough that per-block PRNG
+/// setup amortizes (≥ ~256 expected samples per block — fine enough that
+/// up to ~2^10 PEs stay load-balanced on small instances) and fine enough
+/// that leaves stay in the f64-exact sampling regime.
 pub(crate) fn er_blocks(universe: u128, expected_samples: u64) -> u64 {
     let mut blocks: u64 = 1;
     while (blocks as u128) * 2 <= universe

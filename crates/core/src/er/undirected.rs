@@ -269,7 +269,7 @@ impl GnmUndirected {
     }
 
     /// Set the number of logical PEs (also the chunk-matrix dimension Q;
-    /// part of the instance definition, see DESIGN.md).
+    /// part of the instance definition, as in the paper's §4.2).
     pub fn with_chunks(mut self, chunks: usize) -> Self {
         assert!(chunks >= 1);
         self.chunks = chunks;

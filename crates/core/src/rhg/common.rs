@@ -12,7 +12,7 @@
 //!   tree + index in cell — all derivable by any PE without communication.
 //!
 //! The instance is a pure function of `(n, d̄, γ, seed)`; the number of PEs
-//! does not enter (DESIGN.md: instance-vs-P decoupling).
+//! does not enter (see "Chunk invariance" in the README).
 
 use kagen_dist::{binomial, multinomial};
 use kagen_geometry::hyperbolic::{PrePoint, RhgSpace};

@@ -445,15 +445,9 @@ mod tests {
             &Rmat::new(9, 3000)
                 .with_seed(6)
                 .with_chunks(8)
-                .with_table_levels(4),
-        );
-        assert_stream_matches(
-            &Rmat::new(9, 3000)
-                .with_seed(6)
-                .with_chunks(8)
                 .with_kernel(crate::RmatKernel::Linear { levels: 4 }),
         );
-        // Linear kernel above the old scale-32 table cliff.
+        // Linear kernel beyond scale 32.
         assert_stream_matches(
             &Rmat::new(33, 3000)
                 .with_seed(6)
@@ -507,12 +501,6 @@ mod tests {
             );
             assert_batched_matches(&BarabasiAlbert::new(500, 3).with_seed(5).with_chunks(chunks));
             assert_batched_matches(&Rmat::new(9, 3000).with_seed(6).with_chunks(chunks));
-            assert_batched_matches(
-                &Rmat::new(9, 3000)
-                    .with_seed(6)
-                    .with_chunks(chunks)
-                    .with_table_levels(4),
-            );
             assert_batched_matches(
                 &Rmat::new(9, 3000)
                     .with_seed(6)

@@ -1,7 +1,7 @@
 //! # kagen-delaunay
 //!
-//! Delaunay triangulation substrate for the RDG generator (§6) — the CGAL
-//! replacement (see DESIGN.md substitutions).
+//! Delaunay triangulation substrate for the RDG generator (§6) — a
+//! from-scratch replacement for the CGAL triangulation the paper uses.
 //!
 //! * [`dd`] — error-free transformations and double-double ("compensated")
 //!   arithmetic (~106-bit mantissa);

@@ -7,9 +7,9 @@
 //! fill — and each block runs the same composed-table descent the CPU
 //! kernel runs. Randomness is derived from decision identities, never from
 //! execution order, so the concatenated device output is **bit-identical**
-//! to [`kagen_core::Rmat::fill_edges`] for every kernel
-//! ([`RmatKernel::Plain`], [`RmatKernel::Table`], [`RmatKernel::Linear`]) —
-//! asserted in tests and smoked via `cmp` in CI.
+//! to [`kagen_core::Rmat::fill_edges`] for both kernels
+//! ([`RmatKernel::Plain`], [`RmatKernel::Linear`]) — asserted in tests and
+//! smoked via `cmp` in CI.
 //!
 //! Device model notes: the composed alias table is built host-side once
 //! and shared read-only by all blocks (on a real GPU it would live in
@@ -61,11 +61,9 @@ impl GpuRmat {
             .collect();
         let inner = &self.inner;
         let draw_bytes = match inner.kernel() {
-            // One fused 8-byte alias slot per table draw, remainder draw
-            // included: ⌈scale/levels⌉ draws per edge.
-            RmatKernel::Table { levels } | RmatKernel::Linear { levels } => {
-                8 * inner.scale().div_ceil(levels) as usize
-            }
+            // One fused 8-byte alias slot per composed-table draw, the
+            // truncated last draw included: ⌈scale/levels⌉ draws per edge.
+            RmatKernel::Linear { levels } => 8 * inner.scale().div_ceil(levels) as usize,
             RmatKernel::Plain => 0,
         };
         let per_block: Vec<Vec<(u64, u64)>> = dev.launch(jobs, move |ctx, (lo, hi)| {
@@ -116,11 +114,13 @@ mod tests {
 
     #[test]
     fn plain_and_table_kernels_bit_identical() {
+        // Plain descent, and the composed table with levels ∤ scale (the
+        // truncated last draw).
         device_matches_cpu(Rmat::new(12, 2 * SEED_BLOCK_EDGES).with_seed(7));
         device_matches_cpu(
             Rmat::new(12, 2 * SEED_BLOCK_EDGES)
                 .with_seed(7)
-                .with_kernel(RmatKernel::Table { levels: 5 }),
+                .with_kernel(RmatKernel::Linear { levels: 5 }),
         );
     }
 

@@ -225,6 +225,10 @@ pub struct CompressedEdgeReader<R: BufRead> {
     prev_v: u64,
     /// Edges left in the current block (0 = at a block boundary).
     remaining: u64,
+    /// Payload bytes the current block's header declares but the edges
+    /// decoded so far have not consumed; must reach exactly 0 at the
+    /// block boundary.
+    payload_left: u64,
     /// The current block's stored checksum, verified at the block
     /// boundary — reads are self-validating even without a manifest.
     expected_checksum: u64,
@@ -260,6 +264,7 @@ impl<R: BufRead> CompressedEdgeReader<R> {
             prev_u: 0,
             prev_v: 0,
             remaining: 0,
+            payload_left: 0,
             expected_checksum: 0,
             running_checksum: 0,
         })
@@ -277,7 +282,7 @@ impl<R: BufRead> CompressedEdgeReader<R> {
             let Some(count) = read_varint(&mut self.r)? else {
                 return Ok(None);
             };
-            let Some(_len) = read_varint(&mut self.r)? else {
+            let Some(len) = read_varint(&mut self.r)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "block header truncated after edge count",
@@ -285,9 +290,12 @@ impl<R: BufRead> CompressedEdgeReader<R> {
             };
             let mut checksum = [0u8; 8];
             self.r.read_exact(&mut checksum)?;
-            let count = u64::try_from(count).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "block edge count overflows u64")
-            })?;
+            let (Ok(count), Ok(len)) = (u64::try_from(count), u64::try_from(len)) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "block header field overflows u64",
+                ));
+            };
             if count == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -295,23 +303,38 @@ impl<R: BufRead> CompressedEdgeReader<R> {
                 ));
             }
             self.remaining = count;
+            self.payload_left = len;
             self.prev_u = 0;
             self.prev_v = 0;
             self.expected_checksum = u64::from_le_bytes(checksum);
             self.running_checksum = 0;
         }
-        let Some(zu) = read_varint(&mut self.r)? else {
+        let mut r = CountingReader {
+            inner: &mut self.r,
+            bytes: 0,
+        };
+        let Some(zu) = read_varint(&mut r)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "block truncated mid-payload",
             ));
         };
-        let Some(zv) = read_varint(&mut self.r)? else {
+        let Some(zv) = read_varint(&mut r)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "edge record truncated after u-delta",
             ));
         };
+        let payload_mismatch = || {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "block payload length does not match its header",
+            )
+        };
+        self.payload_left = self
+            .payload_left
+            .checked_sub(r.bytes)
+            .ok_or_else(payload_mismatch)?;
         let u = self.prev_u as i128 + unzigzag(zu);
         let v = self.prev_v as i128 + unzigzag(zv);
         let (Ok(u), Ok(v)) = (u64::try_from(u), u64::try_from(v)) else {
@@ -324,13 +347,34 @@ impl<R: BufRead> CompressedEdgeReader<R> {
         self.prev_v = v;
         self.running_checksum = edge_checksum_step(self.running_checksum, u, v);
         self.remaining -= 1;
-        if self.remaining == 0 && self.running_checksum != self.expected_checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "block checksum mismatch (corrupt block)",
-            ));
+        if self.remaining == 0 {
+            if self.payload_left != 0 {
+                return Err(payload_mismatch());
+            }
+            if self.running_checksum != self.expected_checksum {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "block checksum mismatch (corrupt block)",
+                ));
+            }
         }
         Ok(Some((u, v)))
+    }
+}
+
+/// Counts the bytes read through it: the payload-length check of
+/// [`CompressedEdgeReader`] measures what the varints actually consumed,
+/// overlong encodings included.
+struct CountingReader<'a, R> {
+    inner: &'a mut R,
+    bytes: u64,
+}
+
+impl<R: Read> Read for CountingReader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
     }
 }
 
@@ -700,6 +744,28 @@ mod tests {
         corrupt[checksum_at + 9] ^= 0x01;
         assert!(read_compressed(&corrupt[..]).is_err());
         // The pristine stream still round-trips.
+        assert_eq!(read_compressed(&buf[..]).unwrap(), el);
+    }
+
+    #[test]
+    fn compressed_reader_verifies_block_payload_len() {
+        // A bumped payload-length varint leaves every edge and checksum
+        // intact; only the length check can notice it.
+        let m = COMPRESSED_BLOCK_EDGES + 10;
+        let el = EdgeList::new(100, (0..m).map(|i| (i % 100, (i + 1) % 100)).collect());
+        let mut buf = Vec::new();
+        write_compressed(&mut buf, &el).unwrap();
+        let mut r = &buf[16..];
+        let c = read_varint(&mut r).unwrap().unwrap();
+        let len_at = 16 + varint_len(c) as usize;
+        for delta in [0x01u8, 0x02] {
+            // Flipping a low bit keeps the varint's byte length, so the
+            // checksum and payload still parse where they did.
+            let mut corrupt = buf.clone();
+            corrupt[len_at] ^= delta;
+            let err = read_compressed(&corrupt[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
         assert_eq!(read_compressed(&buf[..]).unwrap(), el);
     }
 

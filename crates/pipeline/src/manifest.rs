@@ -182,22 +182,6 @@ pub struct Manifest {
     pub shards: Vec<ShardInfo>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serialize a shard list as an indented JSON array under key `name`,
 /// closing bracket included but no trailing newline or comma.
 fn push_shards_field(s: &mut String, name: &str, shards: &[ShardInfo]) {
@@ -352,11 +336,10 @@ impl PartialManifest {
 }
 
 /// Append `s` as a JSON string literal (quotes and escapes included) —
-/// the one escaper every manifest flavor and the cluster ledger share.
+/// the escaper every manifest flavor and the cluster ledger share, which
+/// is the obs crate's metrics/trace escaper.
 pub fn push_str_value(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
+    kagen_obs::metrics::escape_json_into(out, s);
 }
 
 pub mod json {

@@ -430,6 +430,101 @@ fn sampled_validation_resume_via_cli() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--validate full` catches a bumped block `payload_len`: the edges and
+/// block checksums stay intact, so only the streaming reader's length
+/// check can see it, and resume must regenerate exactly that shard.
+#[test]
+fn full_validation_resume_catches_payload_len_corruption() {
+    let dir = tmp("payload_len_cli");
+    let mut args: Vec<String> = vec!["launch".into()];
+    args.extend(model_args(dir.to_str().unwrap()));
+    args.extend(["--workers".into(), "2".into()]);
+    let argv: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    let (ok, stderr) = kagen(&argv, &[]);
+    assert!(ok, "launch failed:\n{stderr}");
+    let before = read_manifest(&dir);
+
+    // Header (16 bytes), then the first block's count varint, then its
+    // len varint: flip the low bit of the len varint's first byte, which
+    // changes the value but not the varint's byte length.
+    let victim = dir.join("shard-00005.kgc");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let mut at = 16;
+    while bytes[at] & 0x80 != 0 {
+        at += 1;
+    }
+    bytes[at + 1] ^= 0x01;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let mut resume_args = args.clone();
+    resume_args.extend(["--resume".into(), "--validate".into(), "full".into()]);
+    let (ok, stderr) = kagen(
+        &resume_args.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
+        &[],
+    );
+    assert!(ok, "full resume failed:\n{stderr}");
+    let summary = launch_summary(&stderr);
+    assert!(
+        summary.contains("regenerated=[5] reused=7"),
+        "full resume must regenerate exactly the corrupted shard: {summary}"
+    );
+    assert_eq!(read_manifest(&dir), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run directory of the removed interleaved-table R-MAT kernel carries
+/// the table-era params spelling (`scale=.. m=.. levels=N`, no kernel
+/// marker). Resuming it must fail before any worker spawns, without
+/// touching a shard: its shards belong to a different instance than any
+/// surviving kernel would generate.
+#[test]
+fn table_era_run_dir_is_rejected_on_resume() {
+    let dir = tmp("table_era");
+    let dir_s = dir.to_str().unwrap();
+    let args = [
+        "launch",
+        "rmat",
+        "-n",
+        "4096",
+        "-m",
+        "20000",
+        "-c",
+        "4",
+        "-s",
+        "3",
+        "--workers",
+        "2",
+        "--rmat-kernel",
+        "linear",
+        "--rmat-levels",
+        "8",
+        "--shard-dir",
+        dir_s,
+    ];
+    let (ok, stderr) = kagen(&args, &[]);
+    assert!(ok, "launch failed:\n{stderr}");
+    let ledger = dir.join("ledger.json");
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let linear = "\"params\": \"scale=12 m=20000 kernel=linear levels=8\"";
+    assert!(text.contains(linear), "{text}");
+    let table_era = text.replace(linear, "\"params\": \"scale=12 m=20000 levels=8\"");
+    std::fs::write(&ledger, table_era).unwrap();
+    let shards = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+        (0..4)
+            .map(|pe| std::fs::read(dir.join(format!("shard-{pe:05}.kgc"))).unwrap())
+            .collect()
+    };
+    let before = shards(&dir);
+
+    let mut resume = args.to_vec();
+    resume.push("--resume");
+    let (ok, stderr) = kagen(&resume, &[]);
+    assert!(!ok, "a table-era run dir must not resume:\n{stderr}");
+    assert!(stderr.contains("resume parameter mismatch"), "{stderr}");
+    assert_eq!(shards(&dir), before, "no shard may be rewritten");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn launch_rejects_invalid_flags_before_spawning_workers() {
     let dir = tmp("reject");
@@ -570,12 +665,10 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
                 "rmat",
                 "--shard-dir",
                 dir_s,
-                "-n",
-                "4294967296",
                 "--rmat-kernel",
                 "table",
             ],
-            "needs scale < 32",
+            "--rmat-kernel table was removed",
         ),
     ] {
         let (ok, stderr) = kagen(&args, &[]);

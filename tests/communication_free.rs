@@ -6,7 +6,7 @@
 //!    changes any PE's output.
 //! 3. **Chunk invariance** — the merged instance depends only on
 //!    (params, seed), not on the number of PEs (our strengthening of the
-//!    paper's reproducibility; DESIGN.md).
+//!    paper's reproducibility; "Chunk invariance" in the README).
 //! 4. **Seed sensitivity** — different seeds give different instances.
 
 use kagen_repro::core::prelude::*;
@@ -178,14 +178,15 @@ fn sbm_invariants() {
     );
 }
 
+/// The composed-table (linear-work) kernel, levels pinned to 8.
 #[test]
 fn rmat_table_invariants() {
     check_invariants(
-        "Rmat(table)",
+        "Rmat(linear)",
         |s, c| {
             Rmat::new(9, 4000)
                 .with_seed(s)
-                .with_table_levels(8)
+                .with_kernel(RmatKernel::Linear { levels: 8 })
                 .with_chunks(c)
         },
         &[1, 2, 8],

@@ -1,9 +1,8 @@
-//! R-MAT kernel-matrix tests: the plain, interleaved-table, and
-//! linear-work composed-table kernels across boundary scales (31 is the
-//! last legacy-table scale, 32 the first composed-only one, 63 the
-//! vertex-id ceiling), `levels ∤ scale` remainder cells, and — via
-//! proptest — bit-identical delivery across per-edge, batched, and bulk
-//! fill for every `(scale, levels, kernel)` cell.
+//! R-MAT kernel-matrix tests: the plain and linear-work composed-table
+//! kernels across boundary scales (31/32 straddle the u32 vertex-id
+//! boundary, 63 is the vertex-id ceiling), `levels ∤ scale` remainder
+//! cells, and — via proptest — bit-identical delivery across per-edge,
+//! batched, and bulk fill for every `(scale, levels, kernel)` cell.
 
 use kagen_repro::core::prelude::*;
 use proptest::prelude::*;
@@ -29,10 +28,9 @@ fn stream_batched(gen: &Rmat) -> Vec<(u64, u64)> {
 
 #[test]
 fn boundary_scales_are_degree_exact_and_in_range() {
-    // 31: last scale the legacy table handles; 32/33: composed-only
-    // territory (the old `with_table_levels` silently fell back to plain
-    // here); 63: the top of the supported range, where u and v each use
-    // all their bits below the sign position.
+    // 31/32/33: either side of the u32 vertex-id boundary; 63: the top
+    // of the supported range, where u and v each use all their bits
+    // below the sign position.
     for scale in [31u32, 32, 33, 63] {
         let m = 40_000u64;
         let gen = Rmat::new(scale, m)
@@ -60,17 +58,19 @@ fn boundary_scales_are_degree_exact_and_in_range() {
 
 #[test]
 fn default_levels_dispatch_crosses_the_scale32_wall() {
-    // `with_table_levels(8)` (the old CLI default) keeps its legacy
-    // bit-identical table below scale 32 and now upgrades to the
-    // composed kernel above it — previously a silent no-op to plain.
-    assert_eq!(
-        Rmat::new(31, 10).with_table_levels(8).kernel(),
-        RmatKernel::Table { levels: 8 }
-    );
-    assert_eq!(
-        Rmat::new(32, 10).with_table_levels(8).kernel(),
-        RmatKernel::Linear { levels: 8 }
-    );
+    // The CLI default (linear, cache-sized levels) resolves to the same
+    // kernel on both sides of scale 32: there is no scale-dependent
+    // fallback to another kernel.
+    for scale in [31u32, 32] {
+        let levels = Rmat::auto_linear_levels(scale, 2 * 1024 * 1024);
+        assert_eq!(levels, 8);
+        assert_eq!(
+            Rmat::new(scale, 10)
+                .with_kernel(RmatKernel::Linear { levels })
+                .kernel(),
+            RmatKernel::Linear { levels: 8 }
+        );
+    }
 }
 
 #[test]
@@ -132,7 +132,7 @@ proptest! {
     fn delivery_paths_agree_for_every_kernel_cell(
         scale in 1u32..=63,
         levels in 1u32..=12,
-        kernel_sel in 0usize..3,
+        kernel_sel in 0usize..2,
         m in 1u64..3_000,
         seed in any::<u64>(),
         chunks in 1usize..9,
@@ -140,9 +140,6 @@ proptest! {
         let levels = levels.min(scale);
         let kernel = match kernel_sel {
             0 => RmatKernel::Plain,
-            // The legacy table is defined only below scale 32; fold
-            // those cells into the composed kernel above the wall.
-            1 if scale < 32 => RmatKernel::Table { levels },
             _ => RmatKernel::Linear { levels },
         };
         let gen = Rmat::new(scale, m)
