@@ -18,7 +18,9 @@ use crate::{Generator, PeGraph};
 use kagen_delaunay::{circumcircle2, circumsphere3, Delaunay2, Delaunay3};
 use kagen_geometry::cell_points::cell_points;
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierCache, FrontierStats, Point};
+use kagen_geometry::{
+    CellGrid, CellRangeCursor, CountTree, FrontierCache, FrontierStats, LeafLocator, Point,
+};
 use std::collections::BTreeSet;
 
 /// Shared implementation for both dimensions.
@@ -89,17 +91,17 @@ impl<const D: usize> Rdg<D> {
     fn cell_with_offset(
         &self,
         inst: &Instance<D>,
+        locator: &mut LeafLocator<D>,
         wrapped: [u64; D],
         offset: [i64; D],
         out_pts: &mut Vec<Point<D>>,
         out_ids: &mut Vec<u64>,
     ) {
         let morton = inst.grid.morton_of(wrapped);
-        let count = inst.tree.leaf_count(morton);
+        let (first, count) = locator.locate(morton);
         if count == 0 {
             return;
         }
-        let first = inst.tree.prefix_before(morton);
         let mut pts = Vec::new();
         cell_points(&inst.grid, self.seed, morton, count, &mut pts);
         for (k, p) in pts.into_iter().enumerate() {
@@ -142,6 +144,7 @@ impl<const D: usize> Rdg<D> {
         // values are translated points with their global ids.
         type HaloCache<const D: usize> = FrontierCache<(u64, [i64; D]), (Vec<Point<D>>, Vec<u64>)>;
         let mut cache: HaloCache<D> = FrontierCache::new();
+        let mut locator = inst.tree.locator();
         let mut owned: Vec<(u64, u64)> = Vec::new();
 
         cursor.for_cells(&mut |cell, count, first| {
@@ -205,7 +208,14 @@ impl<const D: usize> Rdg<D> {
                     let (hpts, hids) = cache.get((m, offset), retire, || {
                         let mut hpts = Vec::new();
                         let mut hids = Vec::new();
-                        self.cell_with_offset(&inst, wrapped, offset, &mut hpts, &mut hids);
+                        self.cell_with_offset(
+                            &inst,
+                            &mut locator,
+                            wrapped,
+                            offset,
+                            &mut hpts,
+                            &mut hids,
+                        );
                         (hpts, hids)
                     });
                     pts.extend_from_slice(hpts);
@@ -343,6 +353,7 @@ impl<const D: usize> Generator for Rdg<D> {
         // Grow the halo ring by ring until the triangulation is certified.
         let max_halo = (g - 1).clamp(1, 16);
         let mut halo_seen: BTreeSet<(u64, [i64; D])> = BTreeSet::new();
+        let mut locator = inst.tree.locator();
         let mut halo_pts: Vec<Point<D>> = Vec::new();
         let mut halo_ids: Vec<u64> = Vec::new();
         let mut h: i64 = 0;
@@ -386,7 +397,14 @@ impl<const D: usize> Generator for Rdg<D> {
                 }
                 let m = grid.morton_of(wrapped);
                 if halo_seen.insert((m, offset)) {
-                    self.cell_with_offset(&inst, wrapped, offset, &mut halo_pts, &mut halo_ids);
+                    self.cell_with_offset(
+                        &inst,
+                        &mut locator,
+                        wrapped,
+                        offset,
+                        &mut halo_pts,
+                        &mut halo_ids,
+                    );
                 }
             };
             // Enumerate the ring via the box surface.

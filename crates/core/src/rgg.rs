@@ -12,7 +12,12 @@
 //! owners' copies because the per-cell PRNG is seeded by the cell id.
 //!
 //! Vertex ids are global Morton-prefix sums over cell counts, derivable by
-//! any PE in O(levels) per cell via the count tree.
+//! any PE from the count tree: the cursor carries the running prefix over
+//! the PE's own cells, and each regenerated neighbour cell is resolved by
+//! one root-to-leaf descent of a per-PE
+//! [`LeafLocator`](kagen_geometry::LeafLocator) whose split memo
+//! serves the ancestors neighbouring cells share, so a regenerated cell
+//! costs about one split instead of O(levels).
 
 use crate::{Generator, PeGraph};
 use kagen_geometry::cell_points::cell_points;
@@ -60,7 +65,7 @@ impl<const D: usize> Rgg<D> {
         self
     }
 
-    /// Request ~`chunks` logical PEs; rounded to the next power of `2^d`
+    /// Request ~`chunks` logical PEs; rounded down to a power of `2^d`
     /// and capped so every chunk contains at least one cell.
     pub fn with_chunks(mut self, chunks: usize) -> Self {
         assert!(chunks >= 1);
@@ -138,9 +143,9 @@ impl<const D: usize> Rgg<D> {
         let cursor = CellRangeCursor::new(&grid, &tree, lo, hi);
         let r2 = self.radius * self.radius;
         let mut cache: FrontierCache<u64, (u64, Vec<Point<D>>)> = FrontierCache::new();
-        let gen_cell = |cell: u64| {
-            let count = tree.leaf_count(cell);
-            let first = tree.prefix_before(cell);
+        let mut locator = tree.locator();
+        let mut gen_cell = |cell: u64| {
+            let (first, count) = locator.locate(cell);
             let mut pts = Vec::new();
             cell_points(&grid, self.seed, cell, count, &mut pts);
             (first, pts)

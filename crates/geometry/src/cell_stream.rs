@@ -16,7 +16,9 @@
 //!   estimate — even a wrong one — yields the identical edge stream.
 //! * [`CellRangeCursor`] — a walk over a PE's Morton cell range that
 //!   carries the running global-id prefix, so vertex ids fall out of the
-//!   traversal without a second count-tree query per cell.
+//!   traversal without a second count-tree query per cell. Cells the
+//!   walk does not reach (neighbours regenerated on a cache miss, halo
+//!   cells) are resolved by a per-PE [`LeafLocator`](crate::LeafLocator).
 //!
 //! Together they replace the per-PE materialization the RGG/RDG/RHG
 //! family used before: memory becomes O(active cell neighborhood), not
@@ -150,6 +152,7 @@ impl<K: Ord + Copy, V: Weighted> FrontierCache<K, V> {
         match self.map.remove(&key) {
             Some((_, v)) => {
                 self.stats.live_points -= v.weight();
+                GEO_FRONTIER_POINTS.set(self.stats.live_points + self.external);
                 v
             }
             None => {
@@ -171,13 +174,6 @@ impl<K: Ord + Copy, V: Weighted> FrontierCache<K, V> {
             keep
         });
         GEO_FRONTIER_POINTS.set(self.stats.live_points + self.external);
-    }
-
-    /// Drop everything (e.g. at an annulus boundary of a hyperbolic
-    /// sweep).
-    pub fn clear(&mut self) {
-        self.stats.live_points = 0;
-        self.map.clear();
     }
 
     /// Current accounting. `live_points` excludes values handed out via
@@ -205,7 +201,11 @@ impl<K: Ord + Copy, V: Weighted> Default for FrontierCache<K, V> {
 /// A walk over one PE's aligned Morton cell range carrying the running
 /// global-id prefix: the communication-free vertex ids of §5.1 fall out
 /// of the traversal (one `prefix_before` for the range start, then a
-/// running sum), instead of one O(levels·2^d) tree query per cell.
+/// running sum over one range walk of the count tree), instead of one
+/// root-to-leaf descent per cell. Cells outside the walk — neighbours
+/// regenerated after frontier eviction, halo cells — take their first id
+/// and count from a per-PE [`LeafLocator`](crate::LeafLocator), whose
+/// split memo lets neighbouring cells share their ancestors' splits.
 #[derive(Debug)]
 pub struct CellRangeCursor<'a, const D: usize> {
     grid: &'a CellGrid<D>,
@@ -275,9 +275,18 @@ impl<'a, const D: usize> CellRangeCursor<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the cache tests: one of them turns the process-wide
+    /// metrics registry on and reads the shared frontier gauge.
+    fn gauge_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn cache_regenerates_after_eviction() {
+        let _lock = gauge_lock();
         let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
         let mut gens = 0;
         let fetch = |cache: &mut FrontierCache<u64, Vec<u32>>, k: u64, retire: u64| {
@@ -309,6 +318,7 @@ mod tests {
 
     #[test]
     fn cache_accounts_points() {
+        let _lock = gauge_lock();
         let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
         cache.get(1, 10, || vec![0; 5]);
         cache.get(2, 10, || vec![0; 7]);
@@ -325,6 +335,7 @@ mod tests {
 
     #[test]
     fn take_removes_cached_entry() {
+        let _lock = gauge_lock();
         let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
         cache.get(4, 9, || vec![1, 2]);
         let v = cache.take(4, || unreachable!("must come from the cache"));
@@ -336,6 +347,21 @@ mod tests {
             vec![1, 2]
         });
         assert!(regenerated, "take must remove the entry");
+    }
+
+    #[test]
+    fn take_hit_updates_frontier_gauge() {
+        let _lock = gauge_lock();
+        kagen_obs::metrics::set_enabled(true);
+        let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
+        cache.get(1, 9, || vec![0; 5]);
+        cache.get(2, 9, || vec![0; 7]);
+        assert_eq!(GEO_FRONTIER_POINTS.value(), 12);
+        cache.note_external(3);
+        cache.take(2, || unreachable!("must come from the cache"));
+        let gauge = GEO_FRONTIER_POINTS.value();
+        kagen_obs::metrics::set_enabled(false);
+        assert_eq!(gauge, 5 + 3, "a hit must publish the lowered live count");
     }
 
     #[test]

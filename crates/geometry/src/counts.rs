@@ -7,9 +7,26 @@
 //! the node id. Every PE replays identical splits, so the *entire point
 //! set* is a pure function of `(seed, n, levels)` — independent of which PE
 //! asks for which cell, and independent of the number of PEs.
+//!
+//! Range walks ([`CountTree::for_leaf_counts`]) split each node of the
+//! range once. Single-leaf queries go through a [`LeafLocator`], whose
+//! per-level memo of recent splits lets a sweep over neighbouring cells
+//! share their ancestors' splits.
 
 use kagen_dist::binomial;
+use kagen_obs::Counter;
 use kagen_util::seed::{stream, SeedTree};
+
+/// Count-tree node splits (one seeded multinomial each), from range
+/// walks and leaf locates alike: the descent work behind cell counts
+/// and vertex ids, run-wide.
+static GEO_COUNT_SPLITS: Counter = Counter::new("geo.count_splits");
+
+/// Children per node in the largest supported dimension (2^3).
+const MAX_ARITY: usize = 8;
+
+/// A node's child counts; only the first 2^D entries are used.
+type Split = [u64; MAX_ARITY];
 
 /// Count-splitting tree over a `2^levels`-per-dim grid (leaves in Morton
 /// order).
@@ -46,63 +63,42 @@ impl<const D: usize> CountTree<D> {
         self.levels
     }
 
-    /// Split a node's count over its 2^D children (deterministic per node).
-    fn split(&self, node: &SeedTree, count: u64) -> Vec<u64> {
+    /// Split a node's count over its 2^D children (deterministic per
+    /// node). Entries past the first 2^D are zero.
+    fn split(&self, node: &SeedTree, count: u64) -> Split {
+        GEO_COUNT_SPLITS.incr();
         let k = 1usize << D;
         let mut rng = node.rng();
         // Sequential conditional binomials over equally likely children.
-        let mut counts = Vec::with_capacity(k);
+        let mut counts = [0u64; MAX_ARITY];
         let mut remaining = count;
-        for i in 0..k {
-            if i + 1 == k {
-                counts.push(remaining);
-            } else {
-                let c = binomial(&mut rng, remaining as u128, 1.0 / (k - i) as f64);
-                counts.push(c);
-                remaining -= c;
-            }
+        for (i, c) in counts[..k - 1].iter_mut().enumerate() {
+            *c = binomial(&mut rng, remaining as u128, 1.0 / (k - i) as f64);
+            remaining -= *c;
         }
+        counts[k - 1] = remaining;
         counts
     }
 
-    /// Point count of the single leaf cell with Morton rank `leaf`.
-    /// O(levels) binomial draws.
-    pub fn leaf_count(&self, leaf: u64) -> u64 {
-        debug_assert!(leaf < self.num_leaves());
-        let mut node = SeedTree::root(self.seed, stream::COUNT, 1 << D);
-        let mut count = self.total;
-        for level in (0..self.levels).rev() {
-            let child = (leaf >> (level * D as u32)) & ((1 << D) - 1);
-            count = self.split(&node, count)[child as usize];
-            node = node.child(child);
-            if count == 0 {
-                break;
-            }
+    /// A leaf locator over this tree with an empty split memo.
+    pub fn locator(&self) -> LeafLocator<D> {
+        LeafLocator {
+            tree: *self,
+            memo: vec![Vec::new(); self.levels as usize],
         }
-        count
+    }
+
+    /// Point count of the single leaf cell with Morton rank `leaf`.
+    /// O(levels) splits.
+    pub fn leaf_count(&self, leaf: u64) -> u64 {
+        self.locator().locate(leaf).1
     }
 
     /// Number of points in all leaves strictly before `leaf` (Morton
     /// order): the communication-free global vertex-id offset of a cell.
-    /// O(levels · 2^D) binomial draws.
+    /// O(levels) splits.
     pub fn prefix_before(&self, leaf: u64) -> u64 {
-        debug_assert!(leaf < self.num_leaves());
-        let mut node = SeedTree::root(self.seed, stream::COUNT, 1 << D);
-        let mut count = self.total;
-        let mut prefix = 0u64;
-        for level in (0..self.levels).rev() {
-            let child = ((leaf >> (level * D as u32)) & ((1 << D) - 1)) as usize;
-            let counts = self.split(&node, count);
-            for &c in &counts[..child] {
-                prefix += c;
-            }
-            count = counts[child];
-            node = node.child(child as u64);
-            if count == 0 {
-                break;
-            }
-        }
-        prefix
+        self.locator().locate(leaf).0
     }
 
     /// Visit every leaf in the Morton range `[lo, hi)` with its count.
@@ -143,10 +139,73 @@ impl<const D: usize> CountTree<D> {
         }
         let counts = self.split(node, count);
         let width = (b - a) >> D;
-        for (i, &c) in counts.iter().enumerate() {
+        for (i, &c) in counts[..1 << D].iter().enumerate() {
             let ca = a + i as u64 * width;
             self.descend(&node.child(i as u64), ca, ca + width, c, lo, hi, f);
         }
+    }
+}
+
+/// Point-location queries against a [`CountTree`]: one root-to-leaf
+/// descent yields a leaf's first id and count together, and the splits
+/// of recently visited nodes are memoized per level.
+///
+/// A node's split is a pure function of the node, so a memo hit returns
+/// exactly the counts a fresh split would draw. Each level keeps its
+/// [`LeafLocator::WAYS`] most recently used nodes, enough for a sweep
+/// over a cell's 3^D neighbourhood to reuse the shared ancestors. The
+/// memo is bounded by `levels · WAYS` splits whatever the query
+/// sequence: at most 14 KiB for a 24-level 2-D tree, 18 KiB for a
+/// 16-level 3-D tree.
+#[derive(Clone, Debug)]
+pub struct LeafLocator<const D: usize> {
+    tree: CountTree<D>,
+    /// `memo[depth]`: `(rank, split)` of recently split nodes at that
+    /// depth, most recently used first.
+    memo: Vec<Vec<(u64, Split)>>,
+}
+
+impl<const D: usize> LeafLocator<D> {
+    /// Memoized nodes per tree level: 2·2^D.
+    pub const WAYS: usize = 2 << D;
+
+    /// `(first_id, count)` of the leaf with Morton rank `leaf`: the
+    /// number of points in all leaves before it, and its own count.
+    pub fn locate(&mut self, leaf: u64) -> (u64, u64) {
+        let levels = self.tree.levels;
+        debug_assert!(leaf < self.tree.num_leaves());
+        let mut node = SeedTree::root(self.tree.seed, stream::COUNT, 1 << D);
+        let mut count = self.tree.total;
+        let mut prefix = 0u64;
+        for depth in 0..levels {
+            if count == 0 {
+                break;
+            }
+            let shift = (levels - 1 - depth) * D as u32;
+            let child = ((leaf >> shift) & ((1 << D) - 1)) as usize;
+            let counts = self.split_of(depth as usize, &node, count);
+            prefix += counts[..child].iter().sum::<u64>();
+            count = counts[child];
+            node = node.child(child as u64);
+        }
+        (prefix, count)
+    }
+
+    /// The split of `node` (at `depth`, holding `count` points), from
+    /// the memo or freshly drawn.
+    fn split_of(&mut self, depth: usize, node: &SeedTree, count: u64) -> Split {
+        let ways = &mut self.memo[depth];
+        let rank = node.rank();
+        match ways.iter().position(|&(r, _)| r == rank) {
+            Some(i) => ways[..=i].rotate_right(1),
+            None => {
+                if ways.len() == Self::WAYS {
+                    ways.pop();
+                }
+                ways.insert(0, (rank, self.tree.split(node, count)));
+            }
+        }
+        ways[0].1
     }
 }
 
@@ -260,5 +319,24 @@ mod tests {
         a.for_leaf_counts(0, 64, &mut |_, c| va.push(c));
         b.for_leaf_counts(0, 64, &mut |_, c| vb.push(c));
         assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn memo_stays_within_its_fixed_size() {
+        let t: CountTree<2> = CountTree::new(3, 50_000, 6);
+        let mut loc = t.locator();
+        // A scattered sequence touching far more nodes per level than
+        // the memo may hold.
+        let mut leaf = 0u64;
+        for _ in 0..2_000 {
+            leaf = (leaf * 2_654_435_761 + 12_345) % t.num_leaves();
+            loc.locate(leaf);
+            assert_eq!(loc.memo.len(), 6);
+            for ways in &loc.memo {
+                assert!(ways.len() <= LeafLocator::<2>::WAYS);
+            }
+        }
+        // The deepest level saw far more than WAYS nodes: it is full.
+        assert_eq!(loc.memo[5].len(), LeafLocator::<2>::WAYS);
     }
 }

@@ -27,6 +27,6 @@ pub mod morton;
 pub mod point;
 
 pub use cell_stream::{CellRangeCursor, FrontierCache, FrontierStats};
-pub use counts::CountTree;
+pub use counts::{CountTree, LeafLocator};
 pub use grid::CellGrid;
 pub use point::Point;

@@ -244,3 +244,141 @@ fn gpu_backends_sample_the_cpu_instance() {
         assert_eq!(gpu, cpu.edges, "RGG3D seed {seed}");
     }
 }
+
+/// Order-sensitive FNV-1a-style fold of one PE's batched edge stream,
+/// with the edge count folded in last.
+fn stream_fingerprint<G: StreamingGenerator>(g: &G, pe: usize) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut m = 0u64;
+    let mut buf = Vec::new();
+    g.stream_pe_batched(pe, &mut buf, &mut |batch| {
+        for &(u, v) in batch {
+            h = (h ^ u).wrapping_mul(PRIME);
+            h = (h ^ v).wrapping_mul(PRIME);
+        }
+        m += batch.len() as u64;
+    });
+    (h ^ m).wrapping_mul(PRIME)
+}
+
+fn fingerprints<G: StreamingGenerator>(g: &G) -> Vec<u64> {
+    (0..g.num_chunks())
+        .map(|pe| stream_fingerprint(g, pe))
+        .collect()
+}
+
+/// Golden per-PE fingerprints of small fixed-seed spatial instances,
+/// captured before the count tree memoized splits. The other suites
+/// prove that the delivery paths agree with each other; these values pin
+/// the instance itself, so a change to the count tree, the cell cursor
+/// or the halo walk that alters any vertex id or edge fails here even if
+/// every path changes in lockstep.
+const SPATIAL_GOLDEN: &[(&str, &[u64])] = &[
+    ("rgg2d/1", &[0x16fe_e55d_a0e9_ed6a]),
+    (
+        "rgg2d/4",
+        &[
+            0x37ef_c644_e4b7_dcd2,
+            0x7d42_e0fd_1542_a504,
+            0x1d0d_86cf_9e1e_9998,
+            0xf21a_7ef7_d98e_4eea,
+        ],
+    ),
+    (
+        "rgg2d/16",
+        &[
+            0x190a_a980_c2db_fd8e,
+            0x2dfc_f76a_06a7_b893,
+            0x2f41_6972_df64_cd77,
+            0x73ee_2c05_5ada_940f,
+            0xf4f1_5b5d_6501_6b40,
+            0x75bb_9b70_21ad_6637,
+            0x9357_bf76_731b_cb9f,
+            0x8629_2913_75cd_7059,
+            0x09f9_0ab0_699d_1086,
+            0xf1df_8645_3ae5_60cb,
+            0x9434_27d0_e0f9_dc40,
+            0xaa75_f313_b8cb_6cd8,
+            0x1a7a_728f_3295_a09a,
+            0xa2b4_ff68_0256_89bd,
+            0x7b10_0844_3e1e_e26c,
+            0xba1a_74b1_a904_e2e8,
+        ],
+    ),
+    ("rgg3d/1", &[0x69a6_2688_a5e6_5058]),
+    (
+        "rgg3d/8",
+        &[
+            0x9046_73b4_1163_abf4,
+            0xade8_9e73_7507_8b8a,
+            0x6c3e_2bbd_1298_edee,
+            0x084a_a351_8e6a_18e3,
+            0x8a39_4685_90e7_e897,
+            0x3293_9b1f_b28f_925d,
+            0xae5d_321f_72d6_09e7,
+            0xbcbe_8d49_9ac6_29d9,
+        ],
+    ),
+    ("rdg2d/1", &[0xf0a4_2ff2_7b64_e418]),
+    (
+        "rdg2d/4",
+        &[
+            0xcd3a_240e_bd5a_aaf0,
+            0x217b_6540_166c_74b3,
+            0xe486_27ee_b09c_28b4,
+            0x1432_1d44_9c04_309b,
+        ],
+    ),
+    (
+        "rdg2d/16",
+        &[
+            0x65fe_47f6_cba6_2890,
+            0x74bc_6c54_2655_4f95,
+            0x7b15_38f9_7559_7848,
+            0x04bd_ee89_7c0f_8cab,
+            0x3a83_4ecd_61ea_8bef,
+            0xd21e_78b5_5702_ca19,
+            0x86de_83e4_09ca_1561,
+            0x8fd9_22ef_be71_87c9,
+            0xb3b9_cb28_5c54_823b,
+            0x57b5_425e_d83e_d2f9,
+            0x2d81_453b_f67f_d3e9,
+            0xae4b_af72_ae35_45a1,
+            0x13a0_f1d9_06fc_6b61,
+            0x4b94_8ba4_ed4b_bf98,
+            0x189f_ddb6_c6f4_025e,
+            0xf1d7_7eaa_4e4f_7575,
+        ],
+    ),
+    ("rdg3d/1", &[0xb9f3_15db_f5dd_54f2]),
+    (
+        "rdg3d/8",
+        &[
+            0xd6f1_9b52_fa0c_2716,
+            0x7451_469f_f8b0_cd86,
+            0xaee1_4d1f_c4ca_cc00,
+            0x71a0_78c9_a464_b7a0,
+            0xafcf_5b7b_d3ec_1a03,
+            0x5663_e528_02be_dc59,
+            0x7858_6c53_99f5_d1f1,
+            0xce35_254a_efd3_a2b2,
+        ],
+    ),
+];
+
+#[test]
+fn spatial_golden() {
+    for &(name, golden) in SPATIAL_GOLDEN {
+        let (model, chunks) = name.split_once('/').unwrap();
+        let chunks: usize = chunks.parse().unwrap();
+        let got = match model {
+            "rgg2d" => fingerprints(&Rgg2d::new(2000, 0.03).with_seed(5).with_chunks(chunks)),
+            "rgg3d" => fingerprints(&Rgg3d::new(1500, 0.08).with_seed(5).with_chunks(chunks)),
+            "rdg2d" => fingerprints(&Rdg2d::new(1000).with_seed(5).with_chunks(chunks)),
+            "rdg3d" => fingerprints(&Rdg3d::new(400).with_seed(5).with_chunks(chunks)),
+            _ => unreachable!("{model}"),
+        };
+        assert_eq!(got, golden, "{name}: per-PE stream fingerprints changed");
+    }
+}

@@ -875,3 +875,39 @@ fn verbosity_flags_gate_log_lines() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `geo.count_splits` makes count-tree descent work visible from
+/// `--metrics-out`: with the per-level split memo, a regenerated cell
+/// costs about one split, where two memo-less root-to-leaf descents
+/// per cell cost about sixteen.
+#[test]
+fn count_splits_per_generated_cell_stay_bounded() {
+    let dir = tmp("count_splits");
+    let metrics = dir.with_extension("metrics.json");
+    let (ok, stderr) = kagen(&[
+        "stream",
+        "rgg2d",
+        "-n",
+        "20000",
+        "-s",
+        "1",
+        "--shard-dir",
+        dir.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "stream failed:\n{stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let totals: std::collections::BTreeMap<String, u64> = rm.totals().into_iter().collect();
+    let splits = totals["geo.count_splits"] as f64;
+    let cells = totals["geo.cells_generated"] as f64;
+    assert!(cells > 0.0, "{totals:?}");
+    assert!(
+        splits / cells < 1.5,
+        "{splits} splits for {cells} generated cells"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&metrics).ok();
+}

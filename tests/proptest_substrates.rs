@@ -128,6 +128,28 @@ proptest! {
     }
 
     #[test]
+    fn leaf_locator_matches_prefix_and_count_2d(
+        levels in 0u32..6,
+        total_sel in 0u64..3,
+        raw_total in any::<u64>(),
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        check_locator::<2>(seed, pick_total(total_sel, raw_total), levels, &picks);
+    }
+
+    #[test]
+    fn leaf_locator_matches_prefix_and_count_3d(
+        levels in 0u32..4,
+        total_sel in 0u64..3,
+        raw_total in any::<u64>(),
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        check_locator::<3>(seed, pick_total(total_sel, raw_total), levels, &picks);
+    }
+
+    #[test]
     fn seed_tree_children_deterministic_and_distinct(
         base in any::<u64>(),
         arity in 2u64..5,
@@ -289,5 +311,46 @@ proptest! {
         let a = mk(1);
         prop_assert_eq!(&a, &mk(5));
         prop_assert_eq!(&a, &mk(16));
+    }
+}
+
+/// Point totals for the locator properties: empty, sparse (most
+/// subtrees empty) and dense trees.
+fn pick_total(sel: u64, raw: u64) -> u64 {
+    match sel {
+        0 => 0,
+        1 => raw % 16,
+        _ => raw % 5000,
+    }
+}
+
+/// `LeafLocator::locate` over the query orders a spatial sweep issues
+/// (random, Morton, and the 3^D neighbourhoods of random centres) must
+/// agree with the range walk's running prefix and counts, and with the
+/// one-shot `prefix_before` / `leaf_count`, whatever its memo holds.
+fn check_locator<const D: usize>(seed: u64, total: u64, levels: u32, picks: &[u64]) {
+    let tree = CountTree::<D>::new(seed, total, levels);
+    let grid = CellGrid::<D>::new(levels);
+    let leaves = tree.num_leaves();
+    let mut table = Vec::new();
+    let mut next_id = 0u64;
+    tree.for_leaf_counts(0, leaves, &mut |_, c| {
+        table.push((next_id, c));
+        next_id += c;
+    });
+    let random: Vec<u64> = picks.iter().map(|p| p % leaves).collect();
+    let mut around = Vec::new();
+    for &centre in &random {
+        grid.for_neighbors(grid.coords_of(centre), false, &mut |n, _| {
+            around.push(grid.morton_of(n));
+        });
+    }
+    for order in [random, (0..leaves).collect(), around] {
+        let mut locator = tree.locator();
+        for leaf in order {
+            let got = locator.locate(leaf);
+            assert_eq!(got, table[leaf as usize], "leaf {leaf}");
+            assert_eq!(got, (tree.prefix_before(leaf), tree.leaf_count(leaf)));
+        }
     }
 }
